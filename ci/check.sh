@@ -30,6 +30,16 @@ cmake --build "$BUILD" -j "$JOBS"
 cd "$BUILD"
 ctest --output-on-failure -j "$JOBS"
 
+# A span into a temporary batch tensor once made the feed suites flaky only
+# under a loaded parallel run; repeat them so such a flake fails here.
+echo "=== feed suites, repeated until-fail x10 ==="
+ctest --output-on-failure -j "$JOBS" --repeat until-fail:10 \
+  -R '^(EpochViewTest|StoreFeedTest)\.'
+
+# The benchmark harness's own self-tests (statistics, metric table).
+echo "=== perfbench self-tests ==="
+python3 -m unittest discover -s "$ROOT/perfbench/tests"
+
 # The tensor microkernel seam must hold under both kernel kinds: run the
 # tier-1 bed once pinned to the scalar reference and once pinned to the SIMD
 # path, so a regression in either (or a test that only passes on the process

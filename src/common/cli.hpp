@@ -7,13 +7,26 @@
 // another flag or the end of the line.
 #pragma once
 
+#include <charconv>
+#include <concepts>
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cellgan::common {
+
+/// Strict unsigned decimal: digits only (no sign, space or suffix) that fit
+/// in T; `out` is untouched on failure. strtoull silently wraps negative
+/// input, so unsigned flag and spec values are parsed through this instead.
+template <std::unsigned_integral T>
+bool parse_unsigned(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  return !text.empty() && text.find_first_not_of("0123456789") == text.npos &&
+         std::from_chars(text.data(), end, out).ec == std::errc{};
+}
 
 class CliParser {
  public:

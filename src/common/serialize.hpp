@@ -7,6 +7,7 @@
 #pragma once
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -70,20 +71,25 @@ class ByteReader {
     return value;
   }
 
+  // Length prefixes come from outside, so they are bounded by division:
+  // `pos_ + count * sizeof(T)` would wrap for a count near 2^64 / sizeof(T).
   template <TriviallySerializable T>
   std::vector<T> read_vector() {
     const auto count = read<std::uint64_t>();
-    CG_EXPECT(pos_ + count * sizeof(T) <= data_.size());
+    CG_EXPECT(count <= remaining() / sizeof(T));
     std::vector<T> values(count);
-    std::memcpy(values.data(), data_.data() + pos_, count * sizeof(T));
+    if (count > 0) {  // an empty vector's data() may be null
+      std::memcpy(values.data(), data_.data() + pos_, count * sizeof(T));
+    }
     pos_ += count * sizeof(T);
     return values;
   }
 
   std::string read_string() {
     const auto count = read<std::uint64_t>();
-    CG_EXPECT(pos_ + count <= data_.size());
-    std::string s(reinterpret_cast<const char*>(data_.data() + pos_), count);
+    CG_EXPECT(count <= remaining());
+    const auto begin = data_.begin() + static_cast<std::ptrdiff_t>(pos_);
+    std::string s(begin, begin + static_cast<std::ptrdiff_t>(count));
     pos_ += count;
     return s;
   }

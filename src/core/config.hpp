@@ -8,6 +8,12 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <optional>
+#include <span>
+#include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "datastore/data_plane.hpp"
@@ -30,6 +36,7 @@ enum class LossMode : std::uint32_t {
 };
 
 const char* to_string(LossMode mode);
+std::optional<LossMode> loss_mode_from_string(std::string_view name);
 
 /// How slaves exchange center genomes after each epoch.
 enum class ExchangeMode : std::uint32_t {
@@ -42,6 +49,7 @@ enum class ExchangeMode : std::uint32_t {
 };
 
 const char* to_string(ExchangeMode mode);
+std::optional<ExchangeMode> exchange_mode_from_string(std::string_view name);
 
 struct TrainingConfig {
   // -- Network topology (Table I) -------------------------------------------
@@ -133,5 +141,52 @@ struct TrainingConfig {
 
   friend bool operator==(const TrainingConfig&, const TrainingConfig&) = default;
 };
+
+/// The range a numeric field must lie in; the defaults admit any value.
+struct FieldBound {
+  double min = -std::numeric_limits<double>::infinity();
+  bool min_open = false;  ///< exclude `min` itself
+  double max = std::numeric_limits<double>::infinity();
+};
+
+/// One row of the TrainingConfig field table (config.cpp), the single source
+/// of a field's wire slot, RunSpec JSON key, CLI flag and validation bound.
+/// Adding a config field means one member above plus one table row.
+struct ConfigField {
+  using Member =
+      std::variant<std::size_t nn::GanArch::*, std::uint32_t TrainingConfig::*,
+                   std::uint64_t TrainingConfig::*, double TrainingConfig::*,
+                   LossMode TrainingConfig::*, ExchangeMode TrainingConfig::*,
+                   datastore::DataPlane TrainingConfig::*,
+                   evolve::ExchangePolicyKind TrainingConfig::*>;
+
+  const char* key;
+  Member member;
+  int json_slot;  ///< position in the RunSpec "config" object; -1: wire-only
+  FieldBound bound{};
+  /// CLI flag: nullptr for none, "" for the key with '-' for '_'.
+  const char* flag = nullptr;
+  const char* help = nullptr;
+  bool boolean = false;  ///< a 0/1 field spelled true/false on the command line
+
+  std::string flag_name() const;
+  std::string flag_default(const TrainingConfig& config) const;  ///< as --help shows it
+  bool quoted() const;  ///< the JSON value is a string (enum names)
+  /// JSON value text: enum names quoted, doubles printed to round-trip.
+  std::string json_value(const TrainingConfig& config) const;
+  /// Parse a flag value or an unquoted JSON value into the field; on failure
+  /// fills `error` with a diagnostic naming the key.
+  bool parse(std::string_view text, TrainingConfig& config, std::string* error) const;
+};
+
+/// The field table, in wire order.
+std::span<const ConfigField> config_fields();
+
+/// Check every field against its row's bound (enums: a known value) and the
+/// exchange policy/transport combination (ltfb and gap need non-neighbor
+/// genomes, which async-neighbors never carries). On failure fills `error`
+/// with a diagnostic naming the field. RunSpec::from_cli, RunSpec::from_text
+/// and Session::prepare all call it.
+bool validate(const TrainingConfig& config, std::string* error);
 
 }  // namespace cellgan::core

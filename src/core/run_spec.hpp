@@ -59,19 +59,6 @@ enum class CostProfileKind : std::uint32_t { kNone = 0, kTable3 = 1, kTable4 = 2
 const char* to_string(CostProfileKind kind);
 std::optional<CostProfileKind> cost_profile_from_string(std::string_view name);
 
-std::optional<LossMode> loss_mode_from_string(std::string_view name);
-std::optional<ExchangeMode> exchange_mode_from_string(std::string_view name);
-
-/// ", "-joined names of the registered exchange policies (evolve/exchange.hpp)
-/// — printed by `--exchange` diagnostics and `cellgan_run --list-exchanges`.
-std::string registered_exchange_policy_names();
-
-/// Check the exchange policy/transport combination: ltfb and gap need
-/// non-neighbor genomes, which the async-neighbors transport never carries.
-/// On failure fills `error` with a named diagnostic. Called by from_cli and
-/// Session::prepare (specs can arrive via from_text without a CLI in front).
-bool validate_exchange(const TrainingConfig& config, std::string* error);
-
 /// Which tensor microkernel implementation the run executes on (the seam in
 /// tensor/kernels.hpp). kAuto keeps the process default — the
 /// CELLGAN_TENSOR_KERNEL environment variable, or simd when unset; the two

@@ -334,9 +334,9 @@ bool Session::prepare() {
   if (prepared_) return true;
   if (!error_.empty()) return false;
 
-  // Specs can arrive via from_text/load with no CLI validation in front, so
-  // the exchange policy/transport combination is re-checked here.
-  if (!validate_exchange(spec_.config, &error_)) return false;
+  // Programs can build a spec in code with no parser in front, so the
+  // config is validated here too.
+  if (!validate(spec_.config, &error_)) return false;
 
   // Pin the tensor microkernel kind before anything computes (the cost-model
   // calibration probe below runs real kernels). The selection is

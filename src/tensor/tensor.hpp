@@ -52,16 +52,21 @@ class Tensor {
     return data_[r * cols_ + c];
   }
 
-  std::span<float> data() { return data_; }
-  std::span<const float> data() const { return data_; }
-  std::span<float> row_span(std::size_t r) {
+  std::span<float> data() & { return data_; }
+  std::span<const float> data() const& { return data_; }
+  std::span<float> row_span(std::size_t r) & {
     CG_EXPECT(r < rows_);
     return std::span<float>(data_).subspan(r * cols_, cols_);
   }
-  std::span<const float> row_span(std::size_t r) const {
+  std::span<const float> row_span(std::size_t r) const& {
     CG_EXPECT(r < rows_);
     return std::span<const float>(data_).subspan(r * cols_, cols_);
   }
+  // A view into a temporary dangles once the full-expression ends
+  // (`feed.batch(i).data()`), so temporaries have no views: bind the tensor
+  // to a named local first.
+  std::span<const float> data() const&& = delete;
+  std::span<const float> row_span(std::size_t r) const&& = delete;
 
   /// Reinterpret as new_rows x new_cols (element count must match).
   Tensor reshaped(std::size_t new_rows, std::size_t new_cols) const;

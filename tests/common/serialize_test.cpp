@@ -102,6 +102,29 @@ TEST(SerializeDeathTest, TruncatedVectorAborts) {
       "precondition");
 }
 
+TEST(SerializeDeathTest, WrappingLengthPrefixAborts) {
+  // 2^61 + 1 doubles is 2^64 + 8 bytes: a bound of `pos + count * 8` wraps
+  // to 16 and would pass against the 16-byte buffer.
+  ByteWriter w;
+  w.write<std::uint64_t>((std::uint64_t{1} << 61) + 1);
+  w.write<double>(0.0);
+  EXPECT_DEATH(
+      {
+        ByteReader r(w.bytes());
+        (void)r.read_vector<double>();
+      },
+      "precondition");
+  ByteWriter s;
+  s.write<std::uint64_t>(std::numeric_limits<std::uint64_t>::max());
+  s.write<double>(0.0);
+  EXPECT_DEATH(
+      {
+        ByteReader r(s.bytes());
+        (void)r.read_string();
+      },
+      "precondition");
+}
+
 TEST(SerializeTest, TakeMovesBufferOut) {
   ByteWriter w;
   w.write<std::uint32_t>(5);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "testsupport/temp_dir.hpp"
@@ -278,7 +279,7 @@ TEST(RunSpecTest, NonCellularPolicyRejectsAsyncTransport) {
   config.exchange_policy = evolve::ExchangePolicyKind::kGap;
   config.exchange_mode = ExchangeMode::kAsyncNeighbors;
   std::string error;
-  EXPECT_FALSE(validate_exchange(config, &error));
+  EXPECT_FALSE(validate(config, &error));
   EXPECT_NE(error.find("gap"), std::string::npos) << error;
   EXPECT_NE(error.find("allgather"), std::string::npos) << error;
 }
@@ -362,6 +363,20 @@ TEST(RunSpecTest, FromTextRejectsMalformedInput) {
       RunSpec::from_text("{\"config\": {\"iterations\": -2}}", &error).has_value());
   EXPECT_FALSE(
       RunSpec::from_text("{\"config\": {\"bogus\": 3}}", &error).has_value());
+  // Out-of-range config values are rejected with the field named, as their
+  // flags are.
+  const std::pair<const char*, const char*> out_of_range[] = {
+      {"batch_size", "0"},           {"grid_rows", "0"},
+      {"tournament_size", "0"},      {"data_dieting_fraction", "5"},
+      {"weight_clip", "-1"},         {"exchange_every", "0"},
+      {"batches_per_iteration", "0"}, {"fitness_eval_samples", "0"},
+  };
+  for (const auto& [key, value] : out_of_range) {
+    const std::string text =
+        std::string("{\"config\": {\"") + key + "\": " + value + "}}";
+    EXPECT_FALSE(RunSpec::from_text(text, &error).has_value()) << text;
+    EXPECT_NE(error.find(key), std::string::npos) << error;
+  }
 }
 
 TEST(RunSpecTest, SaveAndLoadFile) {

@@ -222,8 +222,10 @@ TEST(EpochViewTest, ConcurrentStoreFeedsShareOneStore) {
         loader.reshuffle(rng_a);
         feed.reshuffle(rng_b);
         for (std::size_t i = 0; i < loader.batches_per_epoch(); ++i) {
-          const auto a = loader.batch(i).data();
-          const auto b = feed.batch(i).data();
+          const tensor::Tensor want = loader.batch(i);
+          const tensor::Tensor have = feed.batch(i);
+          const auto a = want.data();
+          const auto b = have.data();
           for (std::size_t j = 0; j < a.size(); ++j) {
             if (a[j] != b[j]) {
               mismatches.fetch_add(1);
