@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", reference_session.error().c_str());
     return 1;
   }
-  const core::WorkloadProbe reference_probe = core::TrainerCore::measure_workload(
+  const core::WorkloadProbe reference_probe = core::InProcessTrainer::measure_workload(
       spec->config, reference_session.train_set());
   core::CostProfile profile = core::CostProfile::table3();
   profile.reference_iterations = static_cast<double>(spec->config.iterations);
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: %s\n", session.error().c_str());
       return 1;
     }
-    const core::WorkloadProbe probe = core::TrainerCore::measure_workload(
+    const core::WorkloadProbe probe = core::InProcessTrainer::measure_workload(
         run_spec.config, session.train_set());
     const core::RunResult outcome = session.run();
     const double gather_min =

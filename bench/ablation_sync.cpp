@@ -56,7 +56,8 @@ int main(int argc, char** argv) {
   }
   const data::Dataset& train = probe_session.train_set();
   const data::Dataset& test = probe_session.test_set();
-  const core::WorkloadProbe probe = core::TrainerCore::measure_workload(config, train);
+  const core::WorkloadProbe probe =
+      core::InProcessTrainer::measure_workload(config, train);
 
   std::printf("ablation: exchange mode under straggler noise (%ux%u grid,"
               " %u iterations)\n",

@@ -2,8 +2,8 @@
 // parallel/distributed implementation, for 2x2, 3x3 and 4x4 grids, with the
 // speedup column. Ten repetitions per grid (like the paper) give the
 // avg +- std of the distributed times. With --threads N an extra
-// "multithread" column runs the in-process ParallelTrainer: same process,
-// cells stepped concurrently on N worker lanes — virtual time shows the
+// "multithread" column runs the threads backend (InProcessTrainer with N
+// lanes): same process, cells stepped concurrently on N worker lanes — virtual time shows the
 // max-over-lanes makespan (the "p cores" view) and wall time shows the
 // real speedup this machine's cores deliver.
 //
@@ -34,7 +34,7 @@ struct GridResult {
   double seq_virtual_min = 0.0;
   double seq_wall_s = 0.0;
   double seq_train_flops = 0.0;
-  double mt_virtual_min = 0.0;   ///< ParallelTrainer makespan (0 if not run)
+  double mt_virtual_min = 0.0;   ///< threads-backend makespan (0 if not run)
   double mt_wall_s = 0.0;
   double mt_train_flops = 0.0;
   bool mt_flops_match = true;    ///< parallel run did exactly the seq work
@@ -208,7 +208,7 @@ int main(int argc, char** argv) {
   }
 
   if (threads > 1) {
-    std::printf("\nmultithread column: ParallelTrainer, %zu worker lanes"
+    std::printf("\nmultithread column: threads backend, %zu worker lanes"
                 " (in-process)\n", threads);
     std::printf("  %-9s | %9s %12s | %11s %12s | %10s %7s %7s\n", "grid",
                 "mt(min)", "virt speedup", "mt wall(s)", "wall speedup",

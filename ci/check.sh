@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI entry point: configure, build, run the whole test bed, then confirm the
-# tier-1 label resolved to the full bed without re-executing it. Usage:
+# CI entry point: configure, build, run the whole test bed, confirm the
+# tier-1 label resolved to the full bed, and run the tier-1 bed again under
+# ASan + UBSan (the `asan` preset, build-asan/). Usage:
 #   ci/check.sh [--bench] [build-dir]
 #
 # --bench additionally runs the perf bed at reduced scale and records the
@@ -72,6 +73,16 @@ if [ -z "$TIER1" ] || [ "$TIER1" -ne "$TOTAL" ]; then
   echo "error: tier1 label no longer covers the full test bed" >&2
   exit 1
 fi
+
+# The same tier-1 bed under AddressSanitizer + UndefinedBehaviorSanitizer,
+# from the `asan` preset (Debug, build-asan/), as the CI sanitize job runs
+# it. UBSan only reports by default; halt_on_error makes a finding fail its
+# test.
+echo "=== tier1 bed under ASan + UBSan (build-asan) ==="
+(cd "$ROOT" && cmake --preset asan)
+cmake --build "$ROOT/build-asan" -j "$JOBS"
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+  ctest --test-dir "$ROOT/build-asan" --output-on-failure -j "$JOBS" -L tier1
 
 # Multi-process smoke at reduced scale: fork a world of 3 real processes
 # (1x2 grid + master) over the TCP transport and require rank 0's RunResult

@@ -93,18 +93,9 @@ double CostModel::seq_penalty(int grid_cells) const {
   return std::max(1.0, (target - fixed) / clean);
 }
 
-namespace {
-// MultiThread shares SingleCore's per-cell rates: the process still trains
-// the whole resident grid, so per-unit costs (and the working-set penalty)
-// are unchanged — the speedup comes from max-over-lanes clock aggregation.
-bool in_process(ExecMode mode) {
-  return mode == ExecMode::SingleCore || mode == ExecMode::MultiThread;
-}
-}  // namespace
-
 double CostModel::train_seconds(ExecMode mode, int grid_cells, double flops) const {
   if (!enabled_ || mode == ExecMode::RealTime) return 0.0;
-  if (in_process(mode)) {
+  if (mode == ExecMode::SingleCore) {
     return flops * seq_train_s_per_flop_ * seq_penalty(grid_cells);
   }
   return flops * dist_train_s_per_flop_;
@@ -112,7 +103,7 @@ double CostModel::train_seconds(ExecMode mode, int grid_cells, double flops) con
 
 double CostModel::update_seconds(ExecMode mode, int grid_cells, double bytes) const {
   if (!enabled_ || mode == ExecMode::RealTime) return 0.0;
-  if (in_process(mode)) {
+  if (mode == ExecMode::SingleCore) {
     return bytes * seq_update_s_per_byte_ * seq_penalty(grid_cells);
   }
   return bytes * dist_update_s_per_byte_;
@@ -120,8 +111,8 @@ double CostModel::update_seconds(ExecMode mode, int grid_cells, double bytes) co
 
 double CostModel::mutate_seconds(ExecMode mode, int /*grid_cells*/, double calls) const {
   if (!enabled_ || mode == ExecMode::RealTime) return 0.0;
-  return calls * (in_process(mode) ? seq_mutate_s_per_call_
-                                   : dist_mutate_s_per_call_);
+  return calls * (mode == ExecMode::SingleCore ? seq_mutate_s_per_call_
+                                                : dist_mutate_s_per_call_);
 }
 
 double CostModel::seq_gather_seconds(int /*grid_cells*/, double bytes) const {

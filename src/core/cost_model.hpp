@@ -26,14 +26,13 @@ namespace cellgan::core {
 /// How the training harness is being executed.
 enum class ExecMode {
   RealTime,    ///< no virtual time; wall-clock measurements only
-  SingleCore,  ///< all cells in one process (the paper's baseline column)
-  /// All cells in one process, stepped concurrently on a thread pool — the
-  /// "p cores" view of Table III. Per-cell charges are identical to
-  /// SingleCore (the process still holds the whole grid's working set, so
-  /// the memory penalty applies); only the clock aggregation differs: each
-  /// worker lane owns a VirtualClock and the run's makespan is the max over
-  /// lanes per epoch, not the serial sum.
-  MultiThread,
+  /// All cells in one process: the paper's "single core" baseline column,
+  /// and the "p cores" view when InProcessTrainer steps the cells on several
+  /// lanes. Per-cell charges do not depend on the lane count (the process
+  /// still holds the whole grid's working set, so the memory penalty
+  /// applies); only the clock aggregation does — each lane owns a
+  /// VirtualClock and the run's makespan is the max over lanes per epoch.
+  SingleCore,
   Distributed, ///< one slave process per cell + master (the paper's system)
 };
 

@@ -13,7 +13,6 @@
 #include "core/config.hpp"
 #include "core/cost_model.hpp"
 #include "core/master.hpp"
-#include "core/trainer_core.hpp"  // TrainOutcome
 #include "data/dataset.hpp"
 #include "minimpi/runtime.hpp"
 

@@ -2,9 +2,9 @@
 //
 // Bundles the virtual clock, per-routine profiler, straggler jitter stream
 // and calibrated cost model of the rank (or worker lane, or process) running
-// a trainer, so the same CellTrainer code serves the single-core baseline,
-// the thread-parallel trainer (one context per worker lane, MultiThread
-// mode), the distributed slaves and pure real-time runs. charge() is the
+// a trainer, so the same CellTrainer code serves the in-process trainer
+// (SingleCore mode, contexts of one worker lane share its clock and
+// profiler), the distributed slaves and pure real-time runs. charge() is the
 // single point where a routine's wall time and simulated time enter the
 // books.
 #pragma once
@@ -24,7 +24,7 @@ struct ExecContext {
   const CostModel* cost = nullptr;       ///< may be null (no virtual time)
   common::VirtualClock* clock = nullptr; ///< may be null
   common::Profiler* profiler = nullptr;  ///< may be null
-  common::Rng* jitter_rng = nullptr;     ///< may be null
+  common::Rng* jitter_rng = nullptr;     ///< Distributed mode only; may be null
   /// When set, every simulated charge is also summed here — the owning
   /// cell's cumulative virtual seconds for the observer records. Summing at
   /// the charging point (same charge sequence whatever the schedule) keeps

@@ -1,4 +1,4 @@
-#include "core/trainer_core.hpp"
+#include "core/in_process_trainer.hpp"
 
 #include <algorithm>
 #include <string>
@@ -8,29 +8,61 @@
 
 namespace cellgan::core {
 
-TrainerCore::TrainerCore(const TrainingConfig& config, const data::Dataset& dataset,
-                         const CostModel& cost_model)
+namespace {
+
+/// Balanced contiguous partition of `cells` over exactly min(lanes, cells)
+/// lanes, as lanes+1 offsets: the first cells % lanes lanes take one extra
+/// cell, so no lane sits idle while another carries two cells more.
+std::vector<std::size_t> partition_lanes(std::size_t lanes, int cells) {
+  const auto n = static_cast<std::size_t>(std::max(1, cells));
+  const std::size_t count = std::min(std::max<std::size_t>(1, lanes), n);
+  const std::size_t base = n / count;
+  const std::size_t extra = n % count;
+  std::vector<std::size_t> begin;
+  begin.reserve(count + 1);
+  begin.push_back(0);
+  for (std::size_t lane = 0; lane < count; ++lane) {
+    begin.push_back(begin.back() + base + (lane < extra ? 1 : 0));
+  }
+  return begin;
+}
+
+}  // namespace
+
+InProcessTrainer::InProcessTrainer(const TrainingConfig& config,
+                                   const data::Dataset& dataset, std::size_t lanes,
+                                   const CostModel& cost_model)
     : config_(config),
       dataset_(dataset),
       cost_model_(cost_model),
       grid_(static_cast<int>(config.grid_rows), static_cast<int>(config.grid_cols)),
-      store_(static_cast<std::size_t>(grid_.size())) {}
-
-void TrainerCore::build_cells(const std::function<ExecContext(int)>& context_of) {
-  CG_EXPECT(cells_.empty());
+      store_(static_cast<std::size_t>(grid_.size())),
+      lane_begin_(partition_lanes(lanes, grid_.size())),
+      lanes_(lane_begin_.size() - 1),
+      pool_(lanes_.size()) {
+  const auto n = static_cast<std::size_t>(grid_.size());
   // Allocated before the contexts capture their addresses; never resized.
-  cell_virtual_s_.assign(static_cast<std::size_t>(grid_.size()), {});
-  contexts_.reserve(grid_.size());
-  for (int cell = 0; cell < grid_.size(); ++cell) {
-    contexts_.push_back(context_of(cell));
-    // Every charge a cell makes also accumulates into its own counter, so
-    // the observer records carry schedule-independent per-cell virtual time.
-    contexts_.back().virtual_accumulator =
-        &cell_virtual_s_[static_cast<std::size_t>(cell)].value;
+  cell_virtual_s_.assign(n, {});
+  contexts_.reserve(n);
+  for (std::size_t lane = 0; lane < lanes_.size(); ++lane) {
+    Lane& owner = lanes_[lane];
+    for (std::size_t cell = lane_begin_[lane]; cell < lane_begin_[lane + 1]; ++cell) {
+      ExecContext& context = contexts_.emplace_back();
+      context.mode = ExecMode::SingleCore;
+      context.grid_cells = grid_.size();
+      context.cost = &cost_model_;
+      context.clock = &owner.clock;
+      context.profiler = &owner.profiler;
+      // Every charge a cell makes also accumulates into its own counter, so
+      // the observer records carry schedule-independent per-cell virtual time.
+      context.virtual_accumulator = &cell_virtual_s_[cell].value;
+    }
   }
+  // Each cell's private rng stream is a fork of the master seed keyed by
+  // cell id, as the paper's reproducibility rule requires.
   common::Rng master_rng(config_.seed);
-  cells_.reserve(grid_.size());
-  comms_.reserve(grid_.size());
+  cells_.reserve(n);
+  comms_.reserve(n);
   for (int cell = 0; cell < grid_.size(); ++cell) {
     cells_.push_back(std::make_unique<CellTrainer>(
         config_, grid_, cell, dataset_,
@@ -38,16 +70,61 @@ void TrainerCore::build_cells(const std::function<ExecContext(int)>& context_of)
     comms_.push_back(
         std::make_unique<LocalCommManager>(store_, grid_, cell, contexts_[cell]));
   }
-  epoch_records_.assign(static_cast<std::size_t>(grid_.size()), CellEpochRecord{});
+  epoch_records_.assign(n, CellEpochRecord{});
 }
 
-void TrainerCore::begin_epoch(std::uint32_t epoch) {
-  epoch_ = epoch;
-  recording_ = observing();
-  if (recording_) bus_->epoch_started(epoch_);
+TrainOutcome InProcessTrainer::run() {
+  common::WallTimer wall;
+  for (std::uint32_t iter = 0; iter < config_.iterations; ++iter) {
+    epoch_ = iter;
+    recording_ = bus_ != nullptr && !bus_->empty();
+    if (recording_) bus_->epoch_started(epoch_);
+    // One task per lane; the pool hands each participant a contiguous lane
+    // range, and every lane's cells run on exactly one thread (so the
+    // per-thread flops counters harvested inside CellTrainer::step stay
+    // attributed to the right cell).
+    pool_.parallel_for(lanes_.size(), [&](std::size_t begin, std::size_t end) {
+      for (std::size_t lane = begin; lane < end; ++lane) {
+        for (std::size_t cell = lane_begin_[lane]; cell < lane_begin_[lane + 1];
+             ++cell) {
+          run_cell_epoch(static_cast<int>(cell));
+        }
+      }
+    });
+    // Epoch barrier, in virtual time too: every lane waits for the slowest
+    // before the staged genomes become visible.
+    double makespan = 0.0;
+    for (const Lane& lane : lanes_) makespan = std::max(makespan, lane.clock.now());
+    for (Lane& lane : lanes_) lane.clock.wait_until(makespan);
+    store_.flip();
+    // Records were written by the pool workers (distinct slots per cell, and
+    // parallel_for joined); publishing here keeps one thread, cell order.
+    publish_epoch();
+  }
+
+  TrainOutcome outcome;
+  outcome.wall_s = wall.elapsed_s();
+  std::vector<common::Profiler> parts;
+  parts.reserve(lanes_.size());
+  for (const Lane& lane : lanes_) {
+    outcome.virtual_s = std::max(outcome.virtual_s, lane.clock.now());
+    parts.push_back(lane.profiler);
+  }
+  outcome.profiler = common::Profiler::merged(parts);
+  outcome.g_fitnesses.reserve(cells_.size());
+  outcome.d_fitnesses.reserve(cells_.size());
+  for (const auto& cell : cells_) {
+    outcome.g_fitnesses.push_back(cell->g_fitness());
+    outcome.d_fitnesses.push_back(cell->d_fitness());
+    outcome.train_flops += cell->total_train_flops();
+  }
+  outcome.best_cell = static_cast<int>(
+      std::min_element(outcome.g_fitnesses.begin(), outcome.g_fitnesses.end()) -
+      outcome.g_fitnesses.begin());
+  return outcome;
 }
 
-void TrainerCore::run_cell_epoch(int cell) {
+void InProcessTrainer::run_cell_epoch(int cell) {
   const ExecContext& context = contexts_[cell];
   common::WallTimer gather_wall;
   // The exchange policy names the cells whose genomes this epoch needs
@@ -68,7 +145,7 @@ void TrainerCore::run_cell_epoch(int cell) {
       epoch_, cell_virtual_s_[static_cast<std::size_t>(cell)].value);
 }
 
-void TrainerCore::publish_epoch() {
+void InProcessTrainer::publish_epoch() {
   if (!recording_) return;
   EpochRecord record;
   record.epoch = epoch_;
@@ -81,26 +158,7 @@ void TrainerCore::publish_epoch() {
   bus_->epoch_completed(record);
 }
 
-TrainOutcome TrainerCore::make_outcome(double wall_s, double virtual_s,
-                                       common::Profiler profiler) const {
-  TrainOutcome outcome;
-  outcome.wall_s = wall_s;
-  outcome.virtual_s = virtual_s;
-  outcome.profiler = std::move(profiler);
-  outcome.g_fitnesses.reserve(cells_.size());
-  outcome.d_fitnesses.reserve(cells_.size());
-  for (const auto& cell : cells_) {
-    outcome.g_fitnesses.push_back(cell->g_fitness());
-    outcome.d_fitnesses.push_back(cell->d_fitness());
-    outcome.train_flops += cell->total_train_flops();
-  }
-  outcome.best_cell = static_cast<int>(
-      std::min_element(outcome.g_fitnesses.begin(), outcome.g_fitnesses.end()) -
-      outcome.g_fitnesses.begin());
-  return outcome;
-}
-
-Checkpoint TrainerCore::checkpoint() const {
+Checkpoint InProcessTrainer::checkpoint() const {
   Checkpoint snapshot;
   snapshot.config = config_;
   snapshot.centers.reserve(cells_.size());
@@ -115,7 +173,7 @@ Checkpoint TrainerCore::checkpoint() const {
   return snapshot;
 }
 
-void TrainerCore::restore(const Checkpoint& snapshot) {
+void InProcessTrainer::restore(const Checkpoint& snapshot) {
   CG_EXPECT(snapshot.centers.size() == cells_.size());
   CG_EXPECT(snapshot.config.arch == config_.arch);
   // A snapshot trained under one exchange policy must not silently continue
@@ -138,8 +196,8 @@ void TrainerCore::restore(const Checkpoint& snapshot) {
   }
 }
 
-WorkloadProbe TrainerCore::measure_workload(const TrainingConfig& config,
-                                            const data::Dataset& dataset) {
+WorkloadProbe InProcessTrainer::measure_workload(const TrainingConfig& config,
+                                                 const data::Dataset& dataset) {
   // Run two iterations of a throwaway cell wired to itself: the second
   // iteration installs a full set of neighbor genomes, giving representative
   // update bytes and train flops.

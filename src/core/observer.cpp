@@ -377,7 +377,7 @@ void CheckpointPolicyObserver::on_epoch_completed(const EpochRecord& record) {
     snapshot.mixtures.push_back(cell.mixture_weights);
     // The genomes carry the cells' absolute iteration counters (which
     // survive restore), unlike the run-relative record.epoch — same
-    // semantics as TrainerCore::checkpoint, so resumed runs report honest
+    // semantics as InProcessTrainer::checkpoint, so resumed runs report honest
     // progress.
     snapshot.iteration = std::max(snapshot.iteration, snapshot.centers.back().iteration);
   }

@@ -16,7 +16,7 @@
 //
 // Determinism contract (pinned by the observer-parity suite): every field of
 // an EpochRecord is schedule-independent. Within the in-process family the
-// stream is bit-identical across SequentialTrainer and ParallelTrainer at any
+// stream is bit-identical across the sequential and threads backends at any
 // lane count (a cell's virtual_s is the cell's OWN cumulative simulated
 // seconds, not the shared clock); within the distributed family it is
 // bit-identical between the thread-per-rank simulation and the TCP

@@ -14,8 +14,6 @@
 #include "core/grid.hpp"
 #include "minimpi/bootstrap.hpp"
 #include "core/mixture.hpp"
-#include "core/parallel_trainer.hpp"
-#include "core/sequential_trainer.hpp"
 #include "core/workload.hpp"
 #include "datastore/errors.hpp"
 #include "datastore/stats.hpp"
@@ -115,18 +113,19 @@ bool write_result_json(const std::string& path, const RunSpec& spec,
 
 namespace {
 
-/// SequentialTrainer / ParallelTrainer behind the facade. The referenced
-/// dataset and cost model live in the owning Session and outlive the backend.
+/// InProcessTrainer behind the facade: `sequential` is one lane, `threads`
+/// spec.threads lanes. The referenced dataset and cost model live in the
+/// owning Session and outlive the backend.
 class InProcessBackend final : public SessionBackend {
  public:
-  InProcessBackend(Backend kind, std::unique_ptr<InProcessTrainer> trainer,
-                   EventBus* observers)
-      : kind_(kind), trainer_(std::move(trainer)) {
-    trainer_->set_observers(observers);
+  InProcessBackend(Backend kind, std::size_t lanes, const BackendContext& context)
+      : kind_(kind),
+        trainer_(context.spec.config, context.train_set, lanes, context.cost_model) {
+    trainer_.set_observers(context.observers);
   }
 
   RunResult run() override {
-    TrainOutcome outcome = trainer_->run();
+    TrainOutcome outcome = trainer_.run();
     RunResult result;
     result.backend = kind_;
     result.wall_s = outcome.wall_s;
@@ -139,11 +138,11 @@ class InProcessBackend final : public SessionBackend {
     return result;
   }
 
-  InProcessTrainer* trainer() override { return trainer_.get(); }
+  InProcessTrainer* trainer() override { return &trainer_; }
 
  private:
   Backend kind_;
-  std::unique_ptr<InProcessTrainer> trainer_;
+  InProcessTrainer trainer_;
 };
 
 /// One DistributedOutcome -> RunResult mapping for both distributed
@@ -240,21 +239,13 @@ BackendRegistry::BackendRegistry() {
   // static-library link may drop) so the registry is always complete.
   register_backend(to_string(Backend::kSequential),
                    [](const BackendContext& context) -> std::unique_ptr<SessionBackend> {
-                     return std::make_unique<InProcessBackend>(
-                         Backend::kSequential,
-                         std::make_unique<SequentialTrainer>(
-                             context.spec.config, context.train_set,
-                             context.cost_model),
-                         context.observers);
+                     return std::make_unique<InProcessBackend>(Backend::kSequential, 1,
+                                                               context);
                    });
   register_backend(to_string(Backend::kThreads),
                    [](const BackendContext& context) -> std::unique_ptr<SessionBackend> {
                      return std::make_unique<InProcessBackend>(
-                         Backend::kThreads,
-                         std::make_unique<ParallelTrainer>(
-                             context.spec.config, context.train_set,
-                             context.spec.threads, context.cost_model),
-                         context.observers);
+                         Backend::kThreads, context.spec.threads, context);
                    });
   register_backend(to_string(Backend::kDistributed),
                    [](const BackendContext& context) -> std::unique_ptr<SessionBackend> {
@@ -428,7 +419,7 @@ bool Session::prepare() {
   } else {
     const data::Dataset& train =
         external_train_ != nullptr ? *external_train_ : train_set_;
-    const WorkloadProbe probe = TrainerCore::measure_workload(config, train);
+    const WorkloadProbe probe = InProcessTrainer::measure_workload(config, train);
     CostProfile profile = spec_.cost_profile == CostProfileKind::kTable3
                               ? CostProfile::table3()
                               : CostProfile::table4();

@@ -5,14 +5,15 @@
 // calibrates the virtual-time cost model when the spec asks for one,
 // constructs the right backend through the BackendRegistry, runs it, and
 // returns one unified RunResult that subsumes both TrainOutcome (the
-// in-process trainers) and DistributedOutcome (the master/slave system).
+// in-process trainer) and DistributedOutcome (the master/slave system).
 // Examples, benchmarks and CI all go through this seam, so a new execution
 // vehicle (e.g. a sockets-backed minimpi) plugs in by registering a backend
 // instead of migrating every call site.
 //
 // The facade is a pure wrapper: Backend::kSequential is bit-identical to
-// calling SequentialTrainer directly, kThreads to ParallelTrainer, and
-// kDistributed to run_distributed (the backend-parity suite pins this).
+// calling InProcessTrainer directly with one lane, kThreads to the same
+// trainer with spec.threads lanes, and kDistributed to run_distributed (the
+// backend-parity suite pins this).
 #pragma once
 
 #include <cstdint>
@@ -25,10 +26,10 @@
 
 #include "core/checkpoint.hpp"
 #include "core/distributed_trainer.hpp"
+#include "core/in_process_trainer.hpp"
 #include "core/master.hpp"
 #include "core/observer.hpp"
 #include "core/run_spec.hpp"
-#include "core/trainer_core.hpp"
 #include "data/dataset.hpp"
 #include "datastore/sample_store.hpp"
 

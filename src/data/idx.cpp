@@ -74,7 +74,9 @@ bool read_idx_images(const std::string& path, IdxImages& out) {
     return false;
   }
   out.pixels.resize(total);
-  return std::fread(out.pixels.data(), 1, total, f.get()) == total;
+  // An empty payload makes no call: data() of an empty vector may be null,
+  // which fread/fwrite do not accept even for zero bytes.
+  return total == 0 || std::fread(out.pixels.data(), 1, total, f.get()) == total;
 }
 
 bool read_idx_labels(const std::string& path, std::vector<std::uint8_t>& out) {
@@ -98,7 +100,7 @@ bool read_idx_labels(const std::string& path, std::vector<std::uint8_t>& out) {
     return false;
   }
   out.resize(count);
-  return std::fread(out.data(), 1, count, f.get()) == count;
+  return count == 0 || std::fread(out.data(), 1, count, f.get()) == count;
 }
 
 bool write_idx_images(const std::string& path, const IdxImages& images) {
@@ -108,8 +110,9 @@ bool write_idx_images(const std::string& path, const IdxImages& images) {
       !write_u32_be(f.get(), images.rows) || !write_u32_be(f.get(), images.cols)) {
     return false;
   }
-  return std::fwrite(images.pixels.data(), 1, images.pixels.size(), f.get()) ==
-         images.pixels.size();
+  return images.pixels.empty() ||
+         std::fwrite(images.pixels.data(), 1, images.pixels.size(), f.get()) ==
+             images.pixels.size();
 }
 
 bool write_idx_labels(const std::string& path, const std::vector<std::uint8_t>& labels) {
@@ -119,7 +122,8 @@ bool write_idx_labels(const std::string& path, const std::vector<std::uint8_t>& 
       !write_u32_be(f.get(), static_cast<std::uint32_t>(labels.size()))) {
     return false;
   }
-  return std::fwrite(labels.data(), 1, labels.size(), f.get()) == labels.size();
+  return labels.empty() ||
+         std::fwrite(labels.data(), 1, labels.size(), f.get()) == labels.size();
 }
 
 }  // namespace cellgan::data

@@ -2,7 +2,7 @@
 // wire format slaves forward to rank 0 and the parity suite compares bit for
 // bit), EventBus dispatch order and metric republication, the JSONL
 // telemetry sink's line format, the checkpoint policy observer's cadence,
-// and a whole SequentialTrainer run publishing the expected stream.
+// and a whole one-lane InProcessTrainer run publishing the expected stream.
 #include "core/observer.hpp"
 
 #include <gtest/gtest.h>
@@ -10,7 +10,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "core/sequential_trainer.hpp"
+#include "core/in_process_trainer.hpp"
 #include "core/workload.hpp"
 #include "testsupport/temp_dir.hpp"
 
@@ -254,7 +254,7 @@ TEST(ObserverTest, SequentialTrainerPublishesTheFullStream) {
   EventBus bus;
   RecordingObserver recorder;
   bus.subscribe(&recorder);
-  SequentialTrainer trainer(config, dataset);
+  InProcessTrainer trainer(config, dataset, 1);
   trainer.set_observers(&bus);
   const TrainOutcome outcome = trainer.run();
 
@@ -298,7 +298,7 @@ TEST(ObserverTest, ObservationDoesNotPerturbTraining) {
   config.iterations = 2;
   const auto dataset = make_matched_dataset(config, 64, 5);
 
-  SequentialTrainer bare(config, dataset);
+  InProcessTrainer bare(config, dataset, 1);
   const TrainOutcome reference = bare.run();
 
   TrainingConfig observed_config = config;
@@ -306,7 +306,7 @@ TEST(ObserverTest, ObservationDoesNotPerturbTraining) {
   EventBus bus;
   RecordingObserver recorder;
   bus.subscribe(&recorder);
-  SequentialTrainer observed(observed_config, dataset);
+  InProcessTrainer observed(observed_config, dataset, 1);
   observed.set_observers(&bus);
   const TrainOutcome outcome = observed.run();
 

@@ -1,6 +1,6 @@
 // Cross-backend exchange-policy parity: every registered policy (cellular,
 // ltfb, gap) must produce bit-identical per-cell results on all four
-// backends — SequentialTrainer, ParallelTrainer, run_distributed and the
+// backends — InProcessTrainer at 1 and 2 lanes, run_distributed and the
 // real-TCP world — at a fixed seed, because policies are pure functions of
 // (seed, cell, epoch) and consume no RNG from the training streams. Also the
 // wasserstein + conditional pathway end to end on every backend, and the
@@ -14,8 +14,7 @@
 
 #include "core/checkpoint.hpp"
 #include "core/distributed_trainer.hpp"
-#include "core/parallel_trainer.hpp"
-#include "core/sequential_trainer.hpp"
+#include "core/in_process_trainer.hpp"
 #include "core/workload.hpp"
 
 namespace cellgan::core {
@@ -69,10 +68,10 @@ void expect_all_backends_bit_identical(const TrainingConfig& config,
                                        const data::Dataset& dataset,
                                        const char* label) {
   const std::size_t cells = config.grid_cells();
-  SequentialTrainer seq(config, dataset);
+  InProcessTrainer seq(config, dataset, 1);
   const TrainOutcome seq_outcome = seq.run();
 
-  ParallelTrainer par(config, dataset, /*threads=*/2);
+  InProcessTrainer par(config, dataset, /*lanes=*/2);
   const TrainOutcome par_outcome = par.run();
   ASSERT_EQ(par_outcome.g_fitnesses.size(), cells) << label;
   for (std::size_t cell = 0; cell < cells; ++cell) {
@@ -156,7 +155,7 @@ TEST(ExchangeParityTest, WassersteinConditionalTrainsOnAllBackends) {
 
   // And the critic clip actually bites: every discriminator parameter of the
   // trained centers sits inside [-clip, clip].
-  SequentialTrainer seq(config, dataset);
+  InProcessTrainer seq(config, dataset, 1);
   (void)seq.run();
   for (int cell = 0; cell < seq.cells(); ++cell) {
     for (const float w : seq.cell(cell).center_genome().discriminator_params) {
@@ -181,12 +180,12 @@ TEST(ExchangeParityTest, CheckpointRefusesResumeUnderDifferentPolicy) {
   // policies in the message.
   const auto cellular = policy_config(evolve::ExchangePolicyKind::kCellular);
   const auto dataset = make_matched_dataset(cellular, 64, 47);
-  SequentialTrainer original(cellular, dataset);
+  InProcessTrainer original(cellular, dataset, 1);
   (void)original.run();
   const Checkpoint snapshot = original.checkpoint();
 
-  SequentialTrainer ltfb_trainer(policy_config(evolve::ExchangePolicyKind::kLtfb),
-                                 dataset);
+  InProcessTrainer ltfb_trainer(policy_config(evolve::ExchangePolicyKind::kLtfb),
+                                dataset, 1);
   EXPECT_THROW(ltfb_trainer.restore(snapshot), CheckpointPolicyMismatchError);
   try {
     ltfb_trainer.restore(snapshot);
@@ -198,7 +197,7 @@ TEST(ExchangeParityTest, CheckpointRefusesResumeUnderDifferentPolicy) {
   }
 
   // Same policy resumes fine (and continues training).
-  SequentialTrainer resumed(cellular, dataset);
+  InProcessTrainer resumed(cellular, dataset, 1);
   EXPECT_NO_THROW(resumed.restore(snapshot));
   const TrainOutcome outcome = resumed.run();
   for (const double f : outcome.g_fitnesses) EXPECT_TRUE(std::isfinite(f));

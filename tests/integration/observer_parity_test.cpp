@@ -1,7 +1,7 @@
 // Determinism of the unified TrainObserver stream across execution vehicles,
 // in the style of the existing parity suites: the serialized EpochRecord
-// stream must be bit-identical across SequentialTrainer and ParallelTrainer
-// at 1/2/4 lanes (every field of a record is schedule-independent by
+// stream must be bit-identical across the one-lane InProcessTrainer (the
+// sequential backend) and the same trainer at 1/2/4 lanes (every field of a record is schedule-independent by
 // construction), and bit-identical between the in-process distributed
 // simulation and a real TCP world on the same seed. That is the guarantee
 // that makes telemetry, metric evaluation and checkpoint policies portable
@@ -12,9 +12,8 @@
 #include <thread>
 
 #include "core/distributed_trainer.hpp"
+#include "core/in_process_trainer.hpp"
 #include "core/observer.hpp"
-#include "core/parallel_trainer.hpp"
-#include "core/sequential_trainer.hpp"
 #include "core/session.hpp"
 #include "core/workload.hpp"
 
@@ -40,7 +39,7 @@ TrainingConfig parity_config() {
 }
 
 CostModel table3_cost(const TrainingConfig& config, const data::Dataset& dataset) {
-  const WorkloadProbe probe = SequentialTrainer::measure_workload(config, dataset);
+  const WorkloadProbe probe = InProcessTrainer::measure_workload(config, dataset);
   CostProfile profile = CostProfile::table3();
   profile.reference_iterations = static_cast<double>(config.iterations);
   return CostModel::calibrated(profile, probe);
@@ -64,7 +63,7 @@ TEST(ObserverParityTest, SequentialAndThreadsStreamsBitIdentical) {
   {
     EventBus bus;
     bus.subscribe(&sequential_stream);
-    SequentialTrainer trainer(config, dataset, cost);
+    InProcessTrainer trainer(config, dataset, 1, cost);
     trainer.set_observers(&bus);
     (void)trainer.run();
   }
@@ -74,7 +73,7 @@ TEST(ObserverParityTest, SequentialAndThreadsStreamsBitIdentical) {
     StreamRecorder parallel_stream;
     EventBus bus;
     bus.subscribe(&parallel_stream);
-    ParallelTrainer trainer(config, dataset, threads, cost);
+    InProcessTrainer trainer(config, dataset, threads, cost);
     trainer.set_observers(&bus);
     (void)trainer.run();
     expect_streams_identical(sequential_stream, parallel_stream,

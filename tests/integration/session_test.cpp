@@ -1,7 +1,7 @@
 // Backend parity of the core::Session facade: a Session run must be a pure
-// wrapper — bit-identical to calling the legacy entry points
-// (SequentialTrainer, ParallelTrainer, run_distributed) directly with the
-// same configuration — plus the facade-only surfaces: IDX dataset
+// wrapper — bit-identical to calling the underlying entry points
+// (InProcessTrainer at 1 or spec.threads lanes, run_distributed) directly
+// with the same configuration — plus the facade-only surfaces: IDX dataset
 // resolution with clear errors, the backend registry, checkpoint interop
 // and the RunResult JSON artifact.
 #include "core/session.hpp"
@@ -11,8 +11,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "core/parallel_trainer.hpp"
-#include "core/sequential_trainer.hpp"
+#include "core/in_process_trainer.hpp"
 #include "core/workload.hpp"
 #include "data/idx.hpp"
 #include "testsupport/temp_dir.hpp"
@@ -34,7 +33,7 @@ RunSpec small_spec(Backend backend, int side, int iterations) {
 /// The legacy calibration the spec's table3 profile must reproduce.
 CostModel legacy_table3_cost(const TrainingConfig& config,
                              const data::Dataset& dataset) {
-  const WorkloadProbe probe = SequentialTrainer::measure_workload(config, dataset);
+  const WorkloadProbe probe = InProcessTrainer::measure_workload(config, dataset);
   CostProfile profile = CostProfile::table3();
   profile.reference_iterations = static_cast<double>(config.iterations);
   return CostModel::calibrated(profile, probe);
@@ -57,7 +56,7 @@ TEST(SessionTest, SequentialBackendBitIdenticalToLegacy) {
   const RunResult facade = session.run();
 
   const auto dataset = make_matched_dataset(spec.config, 100, 21);
-  SequentialTrainer legacy(spec.config, dataset);
+  InProcessTrainer legacy(spec.config, dataset, 1);
   expect_bit_identical(facade, legacy.run());
   EXPECT_FALSE(facade.distributed());
   EXPECT_NE(session.trainer(), nullptr);
@@ -70,8 +69,8 @@ TEST(SessionTest, SequentialBackendBitIdenticalWithCostModel) {
   const RunResult facade = session.run();
 
   const auto dataset = make_matched_dataset(spec.config, 100, 21);
-  SequentialTrainer legacy(spec.config, dataset,
-                           legacy_table3_cost(spec.config, dataset));
+  InProcessTrainer legacy(spec.config, dataset, 1,
+                          legacy_table3_cost(spec.config, dataset));
   expect_bit_identical(facade, legacy.run());
   EXPECT_GT(facade.virtual_s, 0.0);
 }
@@ -83,7 +82,7 @@ TEST(SessionTest, ThreadsBackendBitIdenticalToLegacy) {
   const RunResult facade = session.run();
 
   const auto dataset = make_matched_dataset(spec.config, 100, 21);
-  ParallelTrainer legacy(spec.config, dataset, 2);
+  InProcessTrainer legacy(spec.config, dataset, 2);
   expect_bit_identical(facade, legacy.run());
 }
 
@@ -171,7 +170,7 @@ TEST(SessionTest, CheckpointInteropWithLegacyTrainer) {
   const RunResult facade = resumed.run();
 
   const auto dataset = make_matched_dataset(spec.config, 100, 21);
-  SequentialTrainer legacy(spec.config, dataset);
+  InProcessTrainer legacy(spec.config, dataset, 1);
   legacy.restore(snapshot);
   expect_bit_identical(facade, legacy.run());
 }

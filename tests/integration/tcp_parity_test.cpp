@@ -11,7 +11,7 @@
 #include <thread>
 
 #include "core/distributed_trainer.hpp"
-#include "core/sequential_trainer.hpp"
+#include "core/in_process_trainer.hpp"
 #include "core/session.hpp"
 #include "core/workload.hpp"
 
@@ -104,7 +104,7 @@ TEST(TcpParityTest, CalibratedVirtualClocksMatchInProcessBitForBit) {
   // accounting between the two deployments would show up here.
   const TrainingConfig config = parity_config();
   const auto dataset = make_matched_dataset(config, 64, 21);
-  const WorkloadProbe probe = SequentialTrainer::measure_workload(config, dataset);
+  const WorkloadProbe probe = InProcessTrainer::measure_workload(config, dataset);
   CostProfile profile = CostProfile::table3();
   profile.reference_iterations = static_cast<double>(config.iterations);
   const CostModel cost_model = CostModel::calibrated(profile, probe);
